@@ -7,6 +7,16 @@
 
 namespace dquag {
 
+double RowReconstructionError(const float* pred, const float* target,
+                              int64_t d) {
+  double sum = 0.0;
+  for (int64_t c = 0; c < d; ++c) {
+    const double delta = static_cast<double>(pred[c]) - target[c];
+    sum += delta * delta;
+  }
+  return sum / static_cast<double>(d);
+}
+
 double Percentile(std::vector<double> values, double p) {
   DQUAG_CHECK(!values.empty());
   DQUAG_CHECK_GE(p, 0.0);

@@ -3,9 +3,17 @@
 #ifndef DQUAG_CORE_ERROR_STATS_H_
 #define DQUAG_CORE_ERROR_STATS_H_
 
+#include <cstdint>
 #include <vector>
 
 namespace dquag {
+
+/// Instance reconstruction error (§3.1.4): the mean over `d` features of
+/// (pred - target)^2, accumulated in double. Training calibrates the
+/// threshold on these numbers and validation compares against it, so both
+/// call this one function.
+double RowReconstructionError(const float* pred, const float* target,
+                              int64_t d);
 
 /// Linear-interpolated percentile of a sample (p in [0, 1]).
 double Percentile(std::vector<double> values, double p);

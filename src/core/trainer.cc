@@ -1,8 +1,6 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "autograd/ops.h"
 #include "data/preprocessor.h"
@@ -85,8 +83,6 @@ void Trainer::EnsureShardState(int64_t num_shards) {
 
 void Trainer::RunShardTasks(int64_t count,
                             const std::function<void(int64_t)>& fn) const {
-  // Private latch, not pool.Wait(): waiting on the shared pool would couple
-  // this step to unrelated submitters (same idiom as ValidationService).
   RunTasksAndWait(pool_ != nullptr ? *pool_ : GlobalThreadPool(), count, fn);
 }
 
@@ -399,7 +395,7 @@ std::vector<double> Trainer::ComputeErrors(const Tensor& matrix) const {
     const float* tgt = slice.data();
     for (int64_t r = 0; r < end - start; ++r) {
       errors[static_cast<size_t>(start + r)] =
-          PerSampleError(pred + r * d, tgt + r * d, d);
+          RowReconstructionError(pred + r * d, tgt + r * d, d);
     }
   });
   return errors;

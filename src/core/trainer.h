@@ -84,8 +84,10 @@ class Trainer {
   /// overload.
   StatusOr<TrainingReport> Fit(TrainingRowSource& source);
 
-  /// Per-instance validation-head errors on a matrix (no masking). Runs on
-  /// the tape-free inference engine, chunked across the worker pool.
+  /// Per-instance validation-head errors on a matrix (no masking): the
+  /// RowReconstructionError values the Validator compares against the
+  /// threshold. Runs on the tape-free inference engine, chunked across the
+  /// worker pool.
   std::vector<double> ComputeErrors(const Tensor& matrix) const;
 
   /// One optimization step over a batch; returns the total loss value.
@@ -132,8 +134,7 @@ class Trainer {
   /// Grows per-shard arenas / gradient sinks up to `num_shards`.
   void EnsureShardState(int64_t num_shards);
 
-  /// Runs fn(0..count) on the shard pool behind a private completion latch
-  /// (degrades to inline execution for 1-thread pools or nested calls).
+  /// Runs fn(0..count) on the shard pool through RunTasksAndWait.
   void RunShardTasks(int64_t count,
                      const std::function<void(int64_t)>& fn) const;
 

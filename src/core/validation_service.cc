@@ -1,7 +1,6 @@
 #include "core/validation_service.h"
 
 #include <algorithm>
-#include <condition_variable>
 
 #include "engine/inference_context.h"
 #include "util/thread_pool.h"
@@ -40,26 +39,16 @@ BatchVerdict ValidationService::ValidateMatrix(const Tensor& matrix) const {
 
   const ValidationMode mode = validation_mode();
   const int64_t micro = options_.micro_batch_rows;
-  const int64_t num_chunks = micro > 0 ? (rows + micro - 1) / micro : 0;
-  if (num_chunks <= 1 || InsidePoolWorker()) {
-    // Degrade gracefully: one chunk, or a caller that is itself a pool
-    // worker (fanning out would wait on the pool from inside it).
-    if (rows > 0) {
-      validator.ValidateRowsInto(matrix, 0, rows,
-                                 InferenceContext::ThreadLocal(),
-                                 verdict.instances.data(), mode);
-    }
-  } else {
-    // Fan the chunks across the shared pool behind a private latch — not
-    // ThreadPool::Wait(), which would couple concurrent callers.
-    RunTasksAndWait(GlobalThreadPool(), num_chunks, [&](int64_t c) {
-      const int64_t lo = c * micro;
-      const int64_t hi = std::min(rows, lo + micro);
-      validator.ValidateRowsInto(matrix, lo, hi,
-                                 InferenceContext::ThreadLocal(),
-                                 verdict.instances.data() + lo, mode);
-    });
-  }
+  // One task per micro-batch; RunTasksAndWait runs them inline for a single
+  // chunk or a caller that is itself a pool worker.
+  RunTasksAndWait(GlobalThreadPool(), (rows + micro - 1) / micro,
+                  [&](int64_t c) {
+                    const int64_t lo = c * micro;
+                    const int64_t hi = std::min(rows, lo + micro);
+                    validator.ValidateRowsInto(
+                        matrix, lo, hi, InferenceContext::ThreadLocal(),
+                        verdict.instances.data() + lo, mode);
+                  });
 
   validator.FinalizeVerdict(verdict);
 
@@ -94,10 +83,6 @@ RepairResult ValidationService::Repair(const Table& batch,
   return result;
 }
 
-RepairResult ValidationService::ValidateAndRepair(const Table& batch) const {
-  return Repair(batch, Validate(batch));
-}
-
 StatusOr<StreamVerdict> ValidationService::ValidateStream(
     TableChunkReader& reader,
     const StreamingValidator::ChunkCallback& callback,
@@ -121,14 +106,6 @@ StatusOr<StreamVerdict> ValidationService::ValidateStream(
                               std::memory_order_relaxed);
   }
   return verdict;
-}
-
-StatusOr<StreamVerdict> ValidationService::RepairStream(
-    TableChunkReader& reader,
-    const StreamingValidator::ChunkCallback& callback,
-    StreamingValidatorOptions stream_options) const {
-  stream_options.repair = true;
-  return ValidateStream(reader, callback, stream_options);
 }
 
 MonitorObservation ValidationService::Observe(const Table& batch) {

@@ -88,9 +88,6 @@ class ValidationService {
   /// Thread-safe repair of the cells flagged by `verdict`.
   RepairResult Repair(const Table& batch, const BatchVerdict& verdict) const;
 
-  /// Validate + Repair in one call.
-  RepairResult ValidateAndRepair(const Table& batch) const;
-
   /// Streaming, out-of-core validation: drains `reader` chunk by chunk
   /// through the StreamingValidator (bounded in-flight pipeline over the
   /// process pool, ordered per-chunk callbacks on the calling thread).
@@ -98,14 +95,6 @@ class ValidationService {
   /// stays O(chunks in flight * chunk_rows). Thread-safe; counts the whole
   /// stream as one batch in stats().
   StatusOr<StreamVerdict> ValidateStream(
-      TableChunkReader& reader,
-      const StreamingValidator::ChunkCallback& callback = nullptr,
-      StreamingValidatorOptions stream_options = {}) const;
-
-  /// ValidateStream + per-chunk repair: each emitted chunk carries a
-  /// RepairResult for its flagged cells (row-local, so chunk repairs concat
-  /// to exactly the whole-table repair). Repair totals land in stats().
-  StatusOr<StreamVerdict> RepairStream(
       TableChunkReader& reader,
       const StreamingValidator::ChunkCallback& callback = nullptr,
       StreamingValidatorOptions stream_options = {}) const;

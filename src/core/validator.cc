@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/losses.h"
-
 namespace dquag {
 
 Validator::Validator(const DquagModel* model,
@@ -26,12 +24,6 @@ BatchVerdict Validator::Validate(const Table& batch,
                                  const ValidationMode& mode) const {
   DQUAG_CHECK(preprocessor_ != nullptr);
   return ValidateMatrix(preprocessor_->Transform(batch), mode);
-}
-
-void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
-                                 int64_t end, InferenceContext& ctx,
-                                 InstanceVerdict* out) const {
-  ValidateRowsInto(matrix, start, end, ctx, out, ValidationMode{});
 }
 
 void Validator::ValidateRowsInto(const Tensor& matrix, int64_t start,
@@ -96,13 +88,7 @@ void Validator::ScoreRowsInto(const float* prediction, const float* targets,
     InstanceVerdict& inst = out[r];
     const float* pred = prediction + r * d;
     const float* target = targets + r * d;
-    // Instance error = mean of per-feature squared errors (§3.1.4).
-    double mean = 0.0;
-    for (int64_t c = 0; c < d; ++c) {
-      const double delta = static_cast<double>(pred[c]) - target[c];
-      mean += delta * delta;
-    }
-    mean /= static_cast<double>(d);
+    const double mean = RowReconstructionError(pred, target, d);
     inst.error = mean;
     inst.flagged = mean > threshold_;
     inst.suspect_features.clear();
@@ -174,33 +160,6 @@ BatchVerdict Validator::ValidateMatrix(const Tensor& matrix,
   }
   FinalizeVerdict(verdict);
   return verdict;
-}
-
-std::vector<double> Validator::ComputeErrors(const Tensor& matrix) const {
-  const int64_t rows = matrix.dim(0);
-  const int64_t d = matrix.dim(1);
-  std::vector<double> errors(static_cast<size_t>(rows));
-  InferenceContext& ctx = InferenceContext::ThreadLocal();
-  const int64_t chunk = config_.inference_chunk_rows;
-  for (int64_t start = 0; start < rows; start += chunk) {
-    const int64_t end = std::min(rows, start + chunk);
-    ctx.Rewind();
-    Tensor& slice = ctx.Acquire({end - start, d});
-    std::copy(matrix.data() + start * d, matrix.data() + end * d,
-              slice.data());
-    const Tensor& reconstructed = model_->InferValidation(slice, ctx);
-    for (int64_t r = 0; r < end - start; ++r) {
-      const float* pred = reconstructed.data() + r * d;
-      const float* target = slice.data() + r * d;
-      double mean = 0.0;
-      for (int64_t c = 0; c < d; ++c) {
-        const double delta = static_cast<double>(pred[c]) - target[c];
-        mean += delta * delta;
-      }
-      errors[static_cast<size_t>(start + r)] = mean / static_cast<double>(d);
-    }
-  }
-  return errors;
 }
 
 }  // namespace dquag

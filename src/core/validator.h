@@ -76,16 +76,12 @@ class Validator {
   /// per-instance verdicts into out[0 .. end-start). `ctx` is the calling
   /// thread's workspace (rewound internally). Thread-safe for disjoint row
   /// ranges over one fitted model — the fan-out primitive of the
-  /// ValidationService.
-  void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
-                        InferenceContext& ctx, InstanceVerdict* out) const;
-
-  /// Mode-aware variant: with mode.quantized the forward pass runs on the
+  /// ValidationService. With mode.quantized the forward pass runs on the
   /// int8 engine and margin-band rows are re-checked on the float path
   /// (see ValidationMode).
   void ValidateRowsInto(const Tensor& matrix, int64_t start, int64_t end,
                         InferenceContext& ctx, InstanceVerdict* out,
-                        const ValidationMode& mode) const;
+                        const ValidationMode& mode = {}) const;
 
   /// Derives the batch-level verdict fields (flagged_rows, fraction,
   /// is_dirty) from already-filled per-instance verdicts. Shared by serial
@@ -93,17 +89,14 @@ class Validator {
   /// dirty-batch rule lives in exactly one place.
   void FinalizeVerdict(BatchVerdict& verdict) const;
 
-  /// Per-instance reconstruction errors only (used by benchmarks).
-  std::vector<double> ComputeErrors(const Tensor& matrix) const;
-
   double threshold() const { return threshold_; }
   /// The batch dirty-fraction cutoff: (1 - percentile) * n.
   double batch_cutoff() const;
 
  private:
   /// Scores `rows` reconstructed rows against their inputs: per-instance
-  /// error, flag, suspect features. Shared by the float and quantized
-  /// passes so the decision rule lives in one place.
+  /// error (RowReconstructionError), flag, suspect features. Shared by the
+  /// float and quantized passes so the decision rule lives in one place.
   void ScoreRowsInto(const float* pred, const float* target, int64_t rows,
                      InstanceVerdict* out) const;
 

@@ -72,8 +72,6 @@ void Adam::Step() {
 
   // Parameters update independently, so fanning out over the pool cannot
   // change results — each element's math is identical on any thread count.
-  // A private latch (not pool.Wait()) keeps the step decoupled from other
-  // submitters sharing the pool.
   if (total_numel_ < kParallelStepThreshold) {
     for (size_t i = 0; i < parameters_.size(); ++i) update_param(i);
     return;

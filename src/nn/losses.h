@@ -24,8 +24,8 @@ Tensor PerSampleErrors(const Tensor& pred, const Tensor& target);
 
 /// One row of PerSampleErrors over raw pointers: mean_d((pred - target)^2)
 /// with the same accumulation order and float scale. The sharded trainer
-/// and the engine-backed calibration path both use this so their errors
-/// stay bit-compatible with the tensor form.
+/// uses this for its loss weights so they stay bit-compatible with the
+/// serial tensor form.
 float PerSampleError(const float* pred, const float* target, int64_t d);
 
 /// Per-sample-per-feature squared errors: [B, d].

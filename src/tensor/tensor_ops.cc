@@ -22,6 +22,19 @@ std::vector<int64_t> StridesFor(const Shape& shape) {
   return strides;
 }
 
+/// NumPy broadcast of two shapes; checked failure if incompatible.
+Shape BroadcastShapes(const Shape& a, const Shape& b) {
+  const size_t rank = std::max(a.size(), b.size());
+  Shape out(rank, 1);
+  for (size_t i = 0; i < rank; ++i) {
+    const int64_t da = i < rank - a.size() ? 1 : a[i - (rank - a.size())];
+    const int64_t db = i < rank - b.size() ? 1 : b[i - (rank - b.size())];
+    DQUAG_CHECK(da == db || da == 1 || db == 1);
+    out[i] = std::max(da, db);
+  }
+  return out;
+}
+
 /// Strides for reading operand of shape `src` as if broadcast to `out`:
 /// size-1 dims get stride 0. `src` is right-aligned against `out`.
 std::vector<int64_t> BroadcastStrides(const Shape& src, const Shape& out) {
@@ -186,18 +199,6 @@ int64_t NormalizeAxis(int64_t axis, int64_t ndim) {
 
 }  // namespace
 
-Shape BroadcastShapes(const Shape& a, const Shape& b) {
-  const size_t rank = std::max(a.size(), b.size());
-  Shape out(rank, 1);
-  for (size_t i = 0; i < rank; ++i) {
-    const int64_t da = i < rank - a.size() ? 1 : a[i - (rank - a.size())];
-    const int64_t db = i < rank - b.size() ? 1 : b[i - (rank - b.size())];
-    DQUAG_CHECK(da == db || da == 1 || db == 1);
-    out[i] = std::max(da, db);
-  }
-  return out;
-}
-
 Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   if (t.shape() == target) return t;
   // Sum over leading extra axes, then over axes where target has size 1.
@@ -256,9 +257,6 @@ Tensor Exp(const Tensor& a) {
 Tensor Log(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::log(x); });
 }
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::sqrt(x); });
-}
 Tensor Abs(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::abs(x); });
 }
@@ -292,10 +290,6 @@ Tensor Sigmoid(const Tensor& a) {
 }
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(a, [](float x) { return std::tanh(x); });
-}
-
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return UnaryOp(a, [&fn](float x) { return fn(x); });
 }
 
 namespace {

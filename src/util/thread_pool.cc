@@ -1,15 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/failpoint.h"
 
 namespace dquag {
 
 namespace {
-// Set while a pool worker is running a task, so nested ParallelFor calls
-// degrade to serial execution instead of deadlocking on the shared pool.
+// Set on pool worker threads, so nested fan-out degrades to serial
+// execution instead of deadlocking on the shared pool.
 thread_local bool inside_pool_worker = false;
 }  // namespace
 
@@ -39,14 +38,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -62,10 +55,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -78,27 +67,31 @@ ThreadPool& GlobalThreadPool() {
   return pool;
 }
 
+namespace {
+// Splits [begin, end) into `num_chunks` contiguous chunks of equal size
+// (the last one shorter) and runs fn(lo, hi) for each through
+// RunTasksAndWait.
+void RunChunks(size_t begin, size_t end, size_t num_chunks,
+               const std::function<void(size_t, size_t)>& fn) {
+  const size_t chunk = (end - begin + num_chunks - 1) / num_chunks;
+  const size_t count = (end - begin + chunk - 1) / chunk;
+  RunTasksAndWait(GlobalThreadPool(), static_cast<int64_t>(count),
+                  [&](int64_t c) {
+                    const size_t lo = begin + static_cast<size_t>(c) * chunk;
+                    fn(lo, std::min(end, lo + chunk));
+                  });
+}
+}  // namespace
+
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, size_t grain) {
   if (begin >= end) return;
   const size_t n = end - begin;
-  ThreadPool& pool = GlobalThreadPool();
-  if (inside_pool_worker || n < grain || pool.num_threads() <= 1) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  const size_t num_chunks =
-      std::min(pool.num_threads() * 4, (n + grain - 1) / grain);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &fn] {
-      for (size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool.Wait();
+  const size_t num_chunks = std::min(GlobalThreadPool().num_threads() * 4,
+                                     (n + grain - 1) / grain);
+  RunChunks(begin, end, num_chunks, [&fn](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) fn(i);
+  });
 }
 
 void RunTasksAndWait(ThreadPool& pool, int64_t count,
@@ -126,20 +119,11 @@ void ParallelForChunked(size_t begin, size_t end,
                         size_t min_chunk) {
   if (begin >= end) return;
   const size_t n = end - begin;
-  ThreadPool& pool = GlobalThreadPool();
-  if (inside_pool_worker || pool.num_threads() <= 1 || n <= min_chunk) {
-    fn(begin, end);
-    return;
-  }
-  const size_t num_chunks = std::min(pool.num_threads(), n / min_chunk + 1);
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &fn] { fn(lo, hi); });
-  }
-  pool.Wait();
+  const size_t num_chunks =
+      n <= min_chunk
+          ? 1
+          : std::min(GlobalThreadPool().num_threads(), n / min_chunk + 1);
+  RunChunks(begin, end, num_chunks, fn);
 }
 
 }  // namespace dquag

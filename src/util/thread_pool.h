@@ -1,8 +1,10 @@
-// Fixed-size thread pool plus a blocking ParallelFor helper.
+// Fixed-size thread pool plus blocking fan-out helpers.
 //
 // Used to parallelize batched tensor kernels and Phase-2 validation over
 // instances. The pool is created once per process (GlobalThreadPool) so
-// repeated ParallelFor calls do not pay thread start-up cost.
+// repeated ParallelFor calls do not pay thread start-up cost. Every helper
+// funnels into RunTasksAndWait, which waits on a private latch: a fan-out
+// never waits for work other callers submitted to the same pool.
 
 #ifndef DQUAG_UTIL_THREAD_POOL_H_
 #define DQUAG_UTIL_THREAD_POOL_H_
@@ -31,9 +33,6 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
  private:
@@ -43,8 +42,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 
@@ -56,24 +53,25 @@ ThreadPool& GlobalThreadPool();
 /// submitting nested work and waiting on the pool from inside it.
 bool InsidePoolWorker();
 
-/// Runs fn(i) for i in [begin, end), splitting the range into contiguous
-/// chunks across the global pool. Falls back to serial execution for small
-/// ranges (< grain) or when called from inside a pool worker.
+/// Runs fn(i) for i in [begin, end), splitting the range into at most
+/// threads*4 contiguous chunks of >= grain iterations, run on the global
+/// pool through RunTasksAndWait.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, size_t grain = 256);
 
-/// Chunked variant: fn(chunk_begin, chunk_end) per worker chunk. Useful when
-/// per-iteration dispatch would dominate.
+/// Chunked variant: fn(chunk_begin, chunk_end) per worker chunk (at most
+/// one chunk per thread, each > min_chunk iterations unless the range is
+/// smaller). Useful when per-iteration dispatch would dominate.
 void ParallelForChunked(size_t begin, size_t end,
                         const std::function<void(size_t, size_t)>& fn,
                         size_t min_chunk = 1);
 
 /// Runs fn(i) for i in [0, count) as `count` tasks on `pool` and waits on a
-/// PRIVATE latch — unlike ParallelFor/pool.Wait(), completion never depends
-/// on other submitters' in-flight work, so concurrent pool users cannot
-/// stall the caller. Degrades to inline execution when count <= 1, the pool
-/// has a single thread, or the caller is itself a pool worker (nested
-/// fan-out would wait on the pool from inside it).
+/// PRIVATE latch: completion never depends on other submitters' in-flight
+/// work, so concurrent pool users cannot stall the caller. The one place
+/// that waits for pool work. Degrades to inline execution when count <= 1,
+/// the pool has a single thread, or the caller is itself a pool worker
+/// (nested fan-out would wait on the pool from inside it).
 void RunTasksAndWait(ThreadPool& pool, int64_t count,
                      const std::function<void(int64_t)>& fn);
 

@@ -141,6 +141,27 @@ TEST(TrainerTest, ThresholdNearConfiguredPercentile) {
   EXPECT_NEAR(fraction, 0.05, 0.03);
 }
 
+TEST(TrainerTest, CalibrationErrorsAreTheValidatorsErrors) {
+  // The threshold is a percentile of Trainer::ComputeErrors, and validation
+  // compares each row's error against it: the two must be the same numbers,
+  // bit for bit, even when the trainer fans its chunks across the pool.
+  Rng rng(13);
+  DquagConfig config = SmallConfig();
+  config.inference_chunk_rows = 64;
+  DquagModel model(SmallGraph(), config, rng);
+  Trainer trainer(&model, config);
+  Tensor data = Tensor::RandUniform({300, 4}, rng, 0.0f, 1.0f);
+  trainer.Fit(data);
+  Tensor probe = Tensor::RandUniform({300, 4}, rng, -1.0f, 2.0f);
+  const std::vector<double> errors = trainer.ComputeErrors(probe);
+  Validator validator(&model, nullptr, /*threshold=*/0.5, config);
+  const BatchVerdict verdict = validator.ValidateMatrix(probe);
+  ASSERT_EQ(errors.size(), verdict.instances.size());
+  for (size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_EQ(errors[i], verdict.instances[i].error) << "row " << i;
+  }
+}
+
 // ---- Validator -----------------------------------------------------------------
 
 TEST(ValidatorTest, BatchRuleUsesMultiplier) {

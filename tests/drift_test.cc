@@ -415,6 +415,9 @@ TEST(DriftServeTest, AutoRetrainUnderConcurrentTrafficDropsNothing) {
   options.retrain.max_buffer_rows = 2048;
   options.retrain.trigger_observations = 3;
   options.retrain.finetune_epochs = 2;
+  // One retrain per run: the cooldown never elapses, so no chained retrain
+  // can swap in a model with an empty monitor before the stats read below.
+  options.retrain.cooldown_rows = int64_t{1} << 40;
   options.registry.service.monitor.warmup_rows = 300;
   options.registry.service.monitor.drift_window_rows = 1200;
   ServeDaemon daemon(options);
@@ -478,7 +481,15 @@ TEST(DriftServeTest, AutoRetrainUnderConcurrentTrafficDropsNothing) {
   EXPECT_EQ(non_ok.load(), 0) << "requests dropped during retrain/swap";
   EXPECT_GT(requests.load(), 0);
 
-  // The v3 stats extension carries the monitor/retrain fields.
+  // Post-swap, the new regime validates clean again: the flag rate drops
+  // below what the stale model produced on the same bytes.
+  auto recovered = observer->Validate("acme", shifted_csv);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_LT(recovered->flagged_fraction, degraded->flagged_fraction);
+
+  // The v3 stats extension carries the monitor/retrain fields. A swapped-in
+  // model starts with an empty monitor, so the stats are read only after
+  // the `recovered` request, which the swapped-in model observes.
   auto stats = observer->Stats("acme");
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->size(), 1u);
@@ -486,11 +497,6 @@ TEST(DriftServeTest, AutoRetrainUnderConcurrentTrafficDropsNothing) {
   EXPECT_GT((*stats)[0].monitor_rows, 0);
   EXPECT_EQ((*stats)[0].retrain_failures, 0);
 
-  // Post-swap, the new regime validates clean again: the flag rate drops
-  // below what the stale model produced on the same bytes.
-  auto recovered = observer->Validate("acme", shifted_csv);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_LT(recovered->flagged_fraction, degraded->flagged_fraction);
   auto snapshot = daemon.RetrainSnapshot("acme");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_GE(snapshot->successes, 1);

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -302,6 +305,49 @@ TEST(ThreadPoolTest, NestedParallelForFallsBackToSerial) {
     ParallelFor(0, 4, [&](size_t) { count.fetch_add(1); }, 1);
   }, 1);
   EXPECT_EQ(count.load(), 512 * 4);
+}
+
+TEST(ThreadPoolTest, FanOutDoesNotWaitForUnrelatedTasks) {
+  ThreadPool& pool = GlobalThreadPool();
+  if (pool.num_threads() < 2) {
+    GTEST_SKIP() << "needs a pool with a worker to spare";
+  }
+  // An unrelated task (another caller's work) holds one worker until it is
+  // released, or for at most 5 s so a regression fails instead of hanging.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool released = false;
+  bool finished = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    started = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+    finished = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+
+  std::atomic<int64_t> sum{0};
+  ParallelFor(0, 4096,
+              [&](size_t i) { sum.fetch_add(static_cast<int64_t>(i)); },
+              /*grain=*/64);
+  ParallelForChunked(0, 4096, [&](size_t lo, size_t hi) {
+    int64_t local = 0;
+    for (size_t i = lo; i < hi; ++i) local += static_cast<int64_t>(i);
+    sum.fetch_add(local);
+  }, /*min_chunk=*/64);
+
+  std::unique_lock<std::mutex> lock(mutex);
+  EXPECT_FALSE(finished) << "fan-out waited for an unrelated task";
+  EXPECT_EQ(sum.load(), 2 * (4096LL * 4095 / 2));
+  released = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return finished; });
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsNoop) {
